@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-fast bench-full bench-baseline bench-obs bench-partition bench-partition-vec fault-smoke telemetry-smoke bench-trajectory partition-equivalence partition-invariants partition-vectorized examples all clean
+.PHONY: install test bench bench-fast bench-full bench-baseline bench-obs bench-partition bench-partition-vec fault-smoke telemetry-smoke bench-trajectory partition-equivalence partition-invariants partition-vectorized perfbench-smoke examples all clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -76,6 +76,12 @@ bench-partition:
 # result (BENCH_PR10.json) is committed; CI guards its recorded ratios.
 bench-partition-vec:
 	$(PYTHON) scripts/bench_engines.py --partition-vec --measure 2000 --repeats 3
+
+# Benchmark smoke: perfbench's own tests, then a short digest-gated run of
+# the metrics-on workload (exits 1 on any statistics mismatch).
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/test_perfbench.py -q
+	$(PYTHON) perfbench/run.py --workload mesh8_observed --seed 9 --seconds 5 --trace 0
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; echo; done

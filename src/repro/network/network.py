@@ -102,6 +102,11 @@ class Network:
         #: ``Observability.attach``); ``None`` keeps every hook a dead
         #: ``is not None`` branch.
         self.tracer = None
+        #: Optional :class:`repro.obs.probes.AllocatorProbe` (set via
+        #: ``attach_probe``): the vectorized engines' switch-allocation
+        #: kernel folds its rounds in; object routers record through
+        #: their allocators' own ``probe``.
+        self.probe = None
 
     def _build_routers(self, rc) -> list[Router | None]:
         """Instantiate the router list (overridable; id-indexed)."""

@@ -6,7 +6,8 @@ The package is organised producer-side vs sink-side:
 * :mod:`repro.obs.registry` — :class:`MetricsRegistry` (counters, gauges,
   fixed-bucket histograms) with merge and JSONL/CSV export;
 * :mod:`repro.obs.probes` — :class:`AllocatorProbe`, the per-cycle
-  matching-efficiency telemetry wired into the switch allocators;
+  matching-efficiency telemetry wired into the switch allocators (or
+  the vectorized engines' switch-allocation kernel);
 * :mod:`repro.obs.trace` — :class:`FlitTracer`, the sampled flit-level
   pipeline event recorder;
 * :mod:`repro.obs.profiling` — :class:`PhaseTimer` spans and per-job
@@ -31,10 +32,10 @@ network did:
   ``REPRO_MONITOR`` / ``REPRO_SERVE`` / ``REPRO_TRACE_EXPORT`` knobs.
 
 :class:`Observability` below is the per-simulation orchestrator: it
-builds the enabled collectors, attaches them to a network (probe on every
-router's allocator, tracer on routers/NIs/the network), and finalises the
-run into a metrics snapshot plus optional JSONL files.  When the config
-is disabled (the default) nothing is attached and the simulator runs its
+builds the enabled collectors, attaches them to a network (probe on the
+network and every router's allocator, tracer on routers/NIs/the network),
+and finalises the run into a metrics snapshot plus optional JSONL files.
+When the config is disabled (the default) nothing is attached and the simulator runs its
 exact pre-observability code paths.
 """
 
@@ -44,7 +45,7 @@ from .config import ObservabilityConfig, TelemetryConfig, env_observability_enab
 from .events import EVENT_KINDS, EventStream, RunEvent, event_stream_path
 from .exporters import chrome_trace_events, export_chrome_trace, prometheus_text
 from .monitor import RunMonitor, emit_worker_event
-from .probes import AllocatorProbe, maximum_matching_size
+from .probes import AllocatorProbe, attach_probe, maximum_matching_size
 from .profiling import PhaseTimer, profiled_call, spans_from_counters
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .server import TelemetryServer
@@ -73,18 +74,9 @@ class Observability:
 
     def attach(self, network) -> None:
         """Hook the enabled collectors into ``network``'s components."""
-        probe = self.probe
         tracer = self.tracer
-        if probe is not None:
-            self.probe.name = network.config.router.allocator
-            for router in network.routers:
-                if router is None:
-                    continue  # partition-domain hole (unowned router)
-                router.allocator.probe = probe
-                # The forced-move fast path bypasses the instrumented
-                # matrix path; its grants (and arbiter state) are
-                # identical, so disabling it only changes visibility.
-                router._alloc_fast = None
+        if self.probe is not None:
+            attach_probe(network, self.probe)
         if tracer is not None:
             network.tracer = tracer
             for router in network.routers:
@@ -135,6 +127,7 @@ __all__ = [
     "RunMonitor",
     "TelemetryConfig",
     "TelemetryServer",
+    "attach_probe",
     "chrome_trace_events",
     "emit_worker_event",
     "env_observability_enabled",

@@ -1,9 +1,9 @@
 """Allocator matching-efficiency probes — the paper's Section 2 story,
 measured instead of inferred.
 
-A :class:`AllocatorProbe` attaches to a switch allocator (one probe per
-network, shared by every router, so counts are network-wide) and records,
-for every contended allocation round:
+A :class:`AllocatorProbe` is shared by every router of a network (so
+counts are network-wide) and records, for every allocation round (one
+router with at least one switch request in one cycle):
 
 * ``sa_requests`` — input VCs exposing a request to the allocator;
 * ``sa_phase1_winners`` — candidates that survived input-side reduction
@@ -18,20 +18,28 @@ for every contended allocation round:
   of uncoordinated separable allocation (Fig. 5).
 * ``sa_grants`` — grants actually issued (achieved matching size);
 * ``sa_max_matching`` — the maximum bipartite matching the same request
-  set admits (Kuhn's algorithm over crossbar inputs x outputs), i.e. what
-  an ideal allocator would have granted.
+  set admits (crossbar inputs x outputs), i.e. what an ideal allocator
+  would have granted.
 
 ``matching_efficiency()`` = grants / max-matching is then directly
 comparable across allocator flavours: the baseline IF allocator loses
 efficiency to both kills and blocks, 1:2 VIX recovers most of it, and AP
 achieves 1.0 by construction.
 
-Probes are **opt-in and off the hot path**: an allocator's ``probe``
-attribute is ``None`` by default and every recording site is guarded by a
-single ``is not None`` check; the router additionally routes requests
-through the full matrix path while a probe is attached (the forced-move
-fast path would bypass the instrumented code — its grants are identical,
-so results do not change, only visibility).
+Two producers feed the same counters.  Object allocators call
+:meth:`AllocatorProbe.record` once per round; the vectorized engines'
+switch-allocation kernel computes the counts of every router's round in
+a cycle from its request/winner/grant arrays and calls
+:meth:`AllocatorProbe.fold` once per cycle.  :func:`attach_probe` hooks
+both.
+
+Probes are **opt-in and off the hot path**: an allocator's (or network's)
+``probe`` attribute is ``None`` by default and every recording
+site is guarded by a single ``is not None`` check; an object router
+additionally routes requests through the full matrix path while a probe
+is attached (the forced-move fast path would bypass the instrumented
+code — its grants are identical, so results do not change, only
+visibility).
 """
 
 from __future__ import annotations
@@ -82,7 +90,18 @@ class AllocatorProbe:
         self, requests: int, phase1_winners: int, grants: int, max_matching: int
     ) -> None:
         """Fold one allocation round into the aggregate counters."""
-        self.sa_rounds += 1
+        self.fold(1, requests, phase1_winners, grants, max_matching)
+
+    def fold(
+        self,
+        rounds: int,
+        requests: int,
+        phase1_winners: int,
+        grants: int,
+        max_matching: int,
+    ) -> None:
+        """Fold a batch of ``rounds`` allocation rounds, given as sums."""
+        self.sa_rounds += rounds
         self.sa_requests += requests
         self.sa_phase1_winners += phase1_winners
         self.sa_input_port_blocks += requests - phase1_winners
@@ -121,3 +140,22 @@ class AllocatorProbe:
         for field, value in self.snapshot().items():
             registry.counter(field).inc(value)
         registry.gauge("sa_matching_efficiency").set(self.matching_efficiency())
+
+
+def attach_probe(network, probe: AllocatorProbe) -> None:
+    """Make ``probe`` record every switch-allocation round of ``network``.
+
+    The vectorized engines' kernel reads ``network.probe``; object routers
+    record through their allocators (on an array-stepped network they
+    never allocate, so hooking them changes nothing).
+    """
+    probe.name = network.config.router.allocator
+    network.probe = probe
+    for router in network.routers:
+        if router is None:
+            continue  # partition-domain hole (unowned router)
+        router.allocator.probe = probe
+        # The forced-move fast path bypasses the instrumented matrix
+        # path; its grants (and arbiter state) are identical, so
+        # disabling it only changes visibility.
+        router._alloc_fast = None

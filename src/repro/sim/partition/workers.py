@@ -38,6 +38,7 @@ import multiprocessing as mp
 import time
 
 from repro.network.links import MSG_FLIT
+from repro.obs.probes import AllocatorProbe, attach_probe
 from repro.parallel.faults import inject_fault
 from repro.sim.stats import StatsCollector
 
@@ -79,6 +80,12 @@ def _worker_main(sim, domain_ids, conn, worker_index: int) -> None:
         dom.tracer = None
     for inj in injectors:
         inj.stats = stats
+    # The coordinator's collectors stay unattached in worker mode; this
+    # worker's probe counts its own domains' rounds and ships home.
+    probe = AllocatorProbe() if sim.obs_config.metrics else None
+    if probe is not None:
+        for dom in domains:
+            attach_probe(dom, probe)
     # Sever the remote side of every boundary link: sends for an unowned
     # side buffer in the outbox instead of touching a peer's wheel.
     touched = []
@@ -140,6 +147,7 @@ def _worker_main(sim, domain_ids, conn, worker_index: int) -> None:
                         for link in touched
                         if link.dst_net is not None
                     },
+                    "probe": probe.snapshot() if probe is not None else None,
                 }
             )
         elif op == "stop":
@@ -298,7 +306,10 @@ def run_partitioned_workers(sim, warmup: int, measure: int, drain_limit: int):
         interchip_flits=interchip_flits,
         interchip_credits=interchip_credits,
     )
-    metrics = sim._finalize_obs(counters)
+    metrics = sim._finalize_obs(
+        counters,
+        probes=[p["probe"] for p in payloads if p["probe"] is not None],
+    )
     return sim.build_result(
         merged, counters, cycles=cycle, drained=drained, metrics=metrics
     )

@@ -17,10 +17,12 @@ cheap, and vectorizing only what is hot:
   dict-of-lists wheel (all latencies are bounded by
   ``max(pipeline_stages, credit_delay, 1)``).
 
-Two situations delegate the whole run to the activity-gated object engine
-(still byte-identical, so this is purely a performance decision):
+Metrics run on the kernel: the stepper passes the network's allocator
+probe to the switch-allocation kernel, which folds each cycle's rounds
+into it from its request/winner/grant arrays.  Two situations delegate the whole run to the
+activity-gated object engine (still byte-identical):
 
-* metrics/trace observability — the probes hook object allocators;
+* flit tracing — the tracer hooks object routers and NIs;
 * expected injected flits/cycle below ``REPRO_VEC_MIN_FLITS`` (default 6)
   — at low load the gated engine's visit-only-active-components loop beats
   any whole-network array op.
@@ -87,15 +89,11 @@ class VectorizedSimulation:
             min(max(injection_rate, 0.0), 1.0) * config.num_terminals * plen
         )
         self._delegate: Simulation | None = None
-        # Matching-efficiency probes and flit tracers hook the object
-        # allocators/routers, and low-activity runs are faster on the gated
-        # visit-only-active loop than on whole-network array ops; both cases
-        # delegate wholesale (results stay byte-identical either way).
-        if (
-            obs_config.metrics
-            or obs_config.trace
-            or expected_flits < _min_flits_threshold()
-        ):
+        # Flit tracers hook the object routers/NIs, and low-activity runs
+        # are faster on the gated visit-only-active loop than on
+        # whole-network array ops; both cases delegate wholesale (results
+        # stay byte-identical either way).
+        if obs_config.trace or expected_flits < _min_flits_threshold():
             self._delegate = Simulation(
                 config,
                 pattern=pattern,
@@ -115,7 +113,7 @@ class VectorizedSimulation:
         self.network = Network(config)
         self.obs_config = obs_config
         self._obs: Observability | None = None
-        if obs_config.enabled:  # profile-only here (metrics/trace delegated)
+        if obs_config.enabled:  # metrics and/or profile (trace delegated)
             self._obs = Observability(obs_config)
             self._obs.attach(self.network)
         self._seed = seed

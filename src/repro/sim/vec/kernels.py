@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.matching import maximum_matching_size
+
 from .state import ACTIVE, VA_WAIT, SoAState
 
 
@@ -203,7 +205,63 @@ def _sa_requests(s: SoAState):
     return fi, out, po
 
 
-def sa_input_first(s: SoAState):
+def max_matching_total(
+    rid: np.ndarray,
+    grp: np.ndarray,
+    out: np.ndarray,
+    ngroups: np.ndarray,
+    ngrants: np.ndarray,
+    num_outputs: int,
+) -> int:
+    """Summed per-router maximum matching of crossbar inputs to outputs.
+
+    ``rid``/``grp``/``out`` describe one request each: its router, its
+    crossbar input (an id unique across routers) and its output port.
+    ``ngroups[r]`` counts router ``r``'s requesting crossbar inputs and
+    ``ngrants[r]`` is the size of a matching it achieved on them.  No
+    matching exceeds ``min(#inputs, #requested outputs)``, so where the
+    grants reach that bound they *are* the maximum; only the remaining
+    routers run :func:`~repro.core.matching.maximum_matching_size`, the
+    object probes' reference.
+    """
+    R = ngrants.size
+    requested = np.bincount(rid * num_outputs + out, minlength=R * num_outputs)
+    nout = np.count_nonzero(requested.reshape(R, num_outputs), axis=1)
+    short = ngrants == np.minimum(ngroups, nout)
+    if short.all():
+        return int(ngrants.sum())
+    total = int(ngrants[short].sum())
+    rest = ~short[rid]
+    adj: dict[int, dict[int, set[int]]] = {}
+    for r, g, o in zip(rid[rest].tolist(), grp[rest].tolist(), out[rest].tolist()):
+        adj.setdefault(r, {}).setdefault(g, set()).add(o)
+    for groups in adj.values():
+        total += maximum_matching_size(groups.values(), num_outputs)
+    return total
+
+
+def _fold_sa_probe(s: SoAState, probe, fi, gg, out, wfi, gfi) -> None:
+    """Fold one cycle's input-first allocation rounds into ``probe``.
+
+    One round per router with a request, counted exactly as the object
+    allocator records it: requests, phase-1 winners (one per requesting
+    crossbar input ``gg``) and grants, plus the maximum matching over the
+    same request set.
+    """
+    R, PV = s.R, s.PV
+    rid = fi // PV
+    ngroups = np.bincount(wfi // PV, minlength=R)
+    ngrants = np.bincount(gfi // PV, minlength=R)
+    probe.fold(
+        int(np.count_nonzero(np.bincount(rid, minlength=R))),
+        fi.size,
+        wfi.size,
+        gfi.size,
+        max_matching_total(rid, gg, out, ngroups, ngrants, s.P),
+    )
+
+
+def sa_input_first(s: SoAState, probe=None):
     """Input-first / VIX switch allocation (``SeparableInputFirstAllocator``).
 
     Phase 1: each crossbar input (``P * k`` per router, ``gs`` VCs each)
@@ -212,6 +270,9 @@ def sa_input_first(s: SoAState):
     Both pointers rotate whenever the arbiter saw any requester, matching
     the plain-pointer object allocator on every path (fast, single-dirty,
     and general).  Returns ``(flat VC index, output port)`` per grant.
+
+    An :class:`~repro.obs.probes.AllocatorProbe` ``probe``, when given,
+    receives the cycle's rounds (see :func:`_fold_sa_probe`).
     """
     sel = _sa_requests(s)
     if sel is None:
@@ -223,6 +284,7 @@ def sa_input_first(s: SoAState):
         # crossbar-input id collapses to the flat VC index) — every
         # requester wins its own phase-1 arbiter and the width-1 pointer
         # rotation (0 + 1) % 1 is a no-op.
+        gg = fi
         wfi, wout, wpo, wg = fi, out, po, fi % PV
     else:
         vv = fi % V
@@ -242,16 +304,21 @@ def sa_input_first(s: SoAState):
     head2 = _group_heads(wpo[order2])
     win2 = order2[head2]
     s.out_ptr1[wpo[win2]] = s.inc_p2[wg[win2]]
-    return wfi[win2], wout[win2]
+    gfi = wfi[win2]
+    if probe is not None:
+        _fold_sa_probe(s, probe, fi, gg, out, wfi, gfi)
+    return gfi, wout[win2]
 
 
-def sa_output_first(s: SoAState):
+def sa_output_first(s: SoAState, probe=None):
     """Output-first switch allocation (``SeparableOutputFirstAllocator``).
 
     Phase 1: each output round-robins among **all** requesting (port, vc)
     lines within the router.  Phase 2: each input port round-robins among
     the outputs that picked one of its VCs (OF always runs a conventional
     k=1 crossbar input per port).  Returns ``(flat VC index, output port)``.
+    ``probe`` is accepted for a uniform kernel signature and ignored: the
+    object output-first allocator records no probe rounds either.
     """
     sel = _sa_requests(s)
     if sel is None:

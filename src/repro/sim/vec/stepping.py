@@ -350,8 +350,10 @@ class VecStepper:
         """VA + SA kernels and grant application for one cycle."""
         if not self.busy_vcs:
             return
-        va_kernel(self.s)
-        grants = self._sa(self.s)
+        s = self.s
+        va_kernel(s)
+        probe = self.net.probe  # metrics: the network's AllocatorProbe
+        grants = self._sa(s) if probe is None else self._sa(s, probe)
         if grants is not None:
             self.apply_grants(now, grants)
 

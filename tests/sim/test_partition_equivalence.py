@@ -302,3 +302,48 @@ class TestVectorizedDomains:
                 injection_rate=0.1,
                 seed=1,
             )
+
+
+def _metrics(result) -> dict:
+    """A run's metrics snapshot minus the engines' own bookkeeping."""
+    return {
+        key: value
+        for key, value in result.metrics.items()
+        if key not in ENGINE_COUNTERS
+    }
+
+
+class TestPartitionMetrics:
+    """Allocator probes count every domain, whatever steps it."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy(self):
+        pytest.importorskip("numpy")
+
+    @staticmethod
+    def _run(domain_engine: str, workers: int = 1):
+        from repro.obs import ObservabilityConfig
+
+        return run_simulation(
+            _config("vix"),
+            partition=_partition(
+                (2, 2), link_latency=2, domain_engine=domain_engine, workers=workers
+            ),
+            injection_rate=0.105,
+            seed=1,
+            obs=ObservabilityConfig(metrics=True),
+            **WINDOWS,
+        )
+
+    def test_vectorized_domains_match_gated_metrics(self):
+        gated = self._run("gated")
+        vec = self._run("vectorized")
+        assert gated.metrics["sa_grants"] > 0
+        assert _metrics(vec) == _metrics(gated)
+
+    @pytest.mark.parametrize("domain_engine", ["gated", "vectorized"])
+    def test_worker_metrics_match_serial(self, domain_engine):
+        serial = self._run(domain_engine)
+        parallel = self._run(domain_engine, workers=2)
+        assert serial.metrics["sa_requests"] > 0
+        assert _metrics(parallel) == _metrics(serial)

@@ -14,11 +14,15 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
 from repro.core.arbiter import rr_winner
+from repro.core.matching import maximum_matching_size
 from repro.network.config import NetworkConfig, RouterConfig
+from repro.obs import ObservabilityConfig
 from repro.registry import UnknownSchemeError
 from repro.sim.engine import run_simulation
 from repro.sim.vec import (
@@ -26,7 +30,7 @@ from repro.sim.vec import (
     vectorization_unsupported_reason,
 )
 from repro.sim.vec.engine import VectorizedSimulation
-from repro.sim.vec.kernels import rr_pick
+from repro.sim.vec.kernels import max_matching_total, rr_pick
 
 #: Counters measuring the engines themselves: allowed to differ (the dense
 #: loop never sleeps or runs the kernel, so it never counts either).
@@ -227,6 +231,65 @@ class TestDelegation:
         sim = VectorizedSimulation(cfg, injection_rate=1.0, seed=1)
         assert sim._delegate is None
 
+    def test_metrics_do_not_delegate(self):
+        cfg = _config("input_first", "max_credit", 1, num_terminals=64)
+        sim = VectorizedSimulation(
+            cfg, injection_rate=1.0, seed=1, obs=ObservabilityConfig(metrics=True)
+        )
+        assert sim._delegate is None
+
+    def test_trace_still_delegates(self):
+        cfg = _config("input_first", "max_credit", 1, num_terminals=64)
+        sim = VectorizedSimulation(
+            cfg,
+            injection_rate=1.0,
+            seed=1,
+            obs=ObservabilityConfig(metrics=True, trace=True),
+        )
+        assert sim._delegate is not None
+
+
+#: (allocator, vc_policy, virtual_inputs) for the metrics suite: IF, OF,
+#: VIX and ideal VIX.
+METRIC_SCHEMES = (
+    ("input_first", "max_credit", 1),
+    ("output_first", "max_credit", 1),
+    ("vix", "vix_dimension", 2),
+    ("ideal_vix", "vix_dimension", 4),
+)
+
+
+class TestMetricsEquivalence:
+    """Metrics-on runs stay on the kernel, and its allocator probe counts
+    exactly what the object allocators' probes count."""
+
+    @pytest.mark.parametrize("rate", [0.2, 1.0], ids=["mid", "saturation"])
+    @pytest.mark.parametrize("topology", ["mesh", "cmesh"])
+    @pytest.mark.parametrize(
+        "allocator,vc_policy,virtual_inputs",
+        METRIC_SCHEMES,
+        ids=[s[0] for s in METRIC_SCHEMES],
+    )
+    def test_metrics_match_gated(self, allocator, vc_policy, virtual_inputs,
+                                 topology, rate):
+        cfg = _config(allocator, vc_policy, virtual_inputs, topology=topology)
+        kwargs = dict(
+            injection_rate=rate,
+            seed=1,
+            obs=ObservabilityConfig(metrics=True),
+            **WINDOWS,
+        )
+        gated = run_simulation(cfg, engine="gated", **kwargs)
+        vec = run_simulation(cfg, engine="vectorized", **kwargs)
+        assert vec.counters["vec_kernel_cycles"] > 0
+        if allocator != "output_first":  # OF records no rounds on any engine
+            assert gated.metrics["sa_rounds"] > 0
+
+        def strip(metrics):
+            return {k: v for k, v in metrics.items() if k not in ENGINE_COUNTERS}
+
+        assert strip(vec.metrics) == strip(gated.metrics)
+
 
 class TestArbiterDriftGuard:
     """The batched round-robin rule is pinned to the scalar definition."""
@@ -243,6 +306,57 @@ class TestArbiterDriftGuard:
             if expected is None:
                 continue  # no requester: rr_pick's 0 is masked by callers
             assert picked[row] == expected
+
+
+@st.composite
+def _request_sets(draw):
+    """Random SA rounds: requests ``(router, crossbar input, output)`` and,
+    per router, the size of *some* matching on them (a greedy matching cut
+    short at random, so both the bound shortcut and the search run)."""
+    routers = draw(st.integers(1, 4))
+    inputs = draw(st.integers(1, 6))
+    outputs = draw(st.integers(1, 5))
+    cells = st.tuples(
+        st.integers(0, routers - 1),
+        st.integers(0, inputs - 1),
+        st.integers(0, outputs - 1),
+    )
+    reqs = draw(st.lists(cells, max_size=40))
+    ngroups = [len({g for r, g, _ in reqs if r == rr}) for rr in range(routers)]
+    ngrants = []
+    for rr in range(routers):
+        used_g, used_o = set(), set()
+        for r, g, o in reqs:
+            if r == rr and g not in used_g and o not in used_o:
+                used_g.add(g)
+                used_o.add(o)
+        ngrants.append(draw(st.integers(0, len(used_g))))
+    return routers, inputs, outputs, reqs, ngroups, ngrants
+
+
+class TestMaxMatchingDriftGuard:
+    """The SoA probe's max-matching path is pinned to the object probes'
+    reference, :func:`maximum_matching_size`, router by router."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_request_sets())
+    def test_matches_maximum_matching_size(self, case):
+        routers, inputs, outputs, reqs, ngroups, ngrants = case
+        expected = sum(
+            maximum_matching_size(
+                [{o for r, g, o in reqs if (r, g) == (rr, gg)}
+                 for gg in {g for r, g, _ in reqs if r == rr}],
+                outputs,
+            )
+            for rr in range(routers)
+        )
+        rid = np.array([r for r, _, _ in reqs], dtype=np.int64)
+        grp = np.array([r * inputs + g for r, g, _ in reqs], dtype=np.int64)
+        out = np.array([o for _, _, o in reqs], dtype=np.int64)
+        got = max_matching_total(
+            rid, grp, out, np.array(ngroups), np.array(ngrants), outputs
+        )
+        assert got == expected
 
 
 class TestEngineInCacheIdentity:
