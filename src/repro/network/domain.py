@@ -12,14 +12,15 @@ Boundary wiring is left open by ``_wire_link`` (cut links are skipped)
 and closed by the partition engine, which threads one
 :class:`~repro.network.links.InterChipLink` per cut link through
 :meth:`attach_egress` / :meth:`attach_ingress`.  After that the domain
-satisfies the SimDomain contract the partitioned engine steps against:
+satisfies the SimDomain contract the run loop (:mod:`repro.sim.driver`)
+steps against:
 
 * own routers / NIs / flow state (``step``, ``step_dense``, ``inject``,
   occupancy queries, ``export_flow_state``);
 * explicit boundary ports (:meth:`boundary_ports`, straight from the
   plan);
 * a local activity flag (``has_active_work`` + ``next_event_time``) that
-  the engine reduces into the fpgagraphlib-style global-quiescence test.
+  the loop reduces into the fpgagraphlib-style global-quiescence test.
 """
 
 from __future__ import annotations

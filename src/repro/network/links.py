@@ -39,6 +39,7 @@ factory returns a :class:`LinkConfig`.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, field
 
 from repro.registry import links as link_registry
@@ -313,8 +314,11 @@ class InterChipLink:
         self.link_id = link_id
         self.spec = spec
         self.config = config
-        self.src_net = src_net
-        self.dst_net = dst_net
+        # Weak: each domain owns its links (through its boundary ports),
+        # so strong back-references would make every finished partitioned
+        # run a reference cycle that only the cyclic collector frees.
+        self.src_net = weakref.proxy(src_net) if src_net is not None else None
+        self.dst_net = weakref.proxy(dst_net) if dst_net is not None else None
         #: Messages for the remote side(s), drained at epoch barriers.
         self.outbox: list[tuple] = []
         self.flits_carried = 0

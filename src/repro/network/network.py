@@ -494,7 +494,7 @@ class Network:
         return self.outstanding_flits() == 0 and not self._events
 
     # --- engine-neutral introspection ----------------------------------------
-    # The partition engine and invariant checker talk to domains through
+    # The run loop and invariant checker talk to domains through
     # these methods so an array-backed domain (repro.sim.vec.domain) can
     # answer from its tensors while object domains answer from theirs.
 

@@ -34,7 +34,8 @@ network did:
 :class:`Observability` below is the per-simulation orchestrator: it
 builds the enabled collectors, attaches them to a network (probe on the
 network and every router's allocator, tracer on routers/NIs/the network),
-and finalises the run into a metrics snapshot plus optional JSONL files.
+and finalises the run (from its aggregated counters) into a metrics
+snapshot plus optional JSONL files.
 When the config is disabled (the default) nothing is attached and the simulator runs its
 exact pre-observability code paths.
 """
@@ -86,10 +87,12 @@ class Observability:
                 if ni is not None:
                     ni.tracer = tracer
 
-    def finalize(self, network, **context) -> dict | None:
+    def finalize(self, counters: dict, **context) -> dict | None:
         """Close out a run: flush files, return the metrics snapshot.
 
-        ``context`` fields (allocator, rate, seed, ...) are stamped onto
+        ``counters`` is the run's aggregated activity-counter dict (as
+        the run loop assembles it); each entry becomes a registry
+        counter.  ``context`` fields (allocator, rate, seed, ...) are stamped onto
         every exported line so aggregation across runs and worker
         processes needs no out-of-band bookkeeping.
         """
@@ -104,7 +107,7 @@ class Observability:
             return None
         if self.probe is not None:
             self.probe.publish(registry)
-        for name, value in network.counters.snapshot().items():
+        for name, value in counters.items():
             registry.counter(name).inc(value)
         if self.config.metrics_path:
             registry.export_jsonl(self.config.metrics_path, **context)

@@ -1,9 +1,12 @@
 """Parallel domain stepping: forked workers, epoch barriers, ferrying.
 
-The coordinator forks one process per worker (fork start method — the
-fully built :class:`~repro.sim.partition.engine.PartitionedSimulation`
-is inherited, nothing is re-constructed) and assigns each a block of
-domains.  Execution alternates:
+The coordinator, :class:`WorkerSchedule`, is the run loop's schedule for
+``workers > 1`` (see :mod:`repro.sim.driver`).  It forks one process per
+worker (fork start method — the fully built
+:class:`~repro.sim.partition.engine.PartitionedSimulation` is inherited,
+nothing is re-constructed) and assigns each a block of domains, which the
+worker steps with the same :class:`~repro.sim.driver.Lockstep` the serial
+mode uses.  Execution alternates:
 
 1. every worker advances its domains ``step <= E`` lockstep cycles,
    where ``E`` is the conservative epoch (min over links of
@@ -25,7 +28,8 @@ differs from the shared serial collector only in bookkeeping — a packet
 may be created in one worker and ejected in another, so measured-ness
 is keyed by ``created_cycle`` (carried by the packet across the link)
 instead of a pid set, and the drain criterion becomes the coordinator's
-reduction ``sum(created) - sum(delivered)``.  The reported numbers are
+reduction ``sum(created) - sum(delivered)`` (the sum of the workers'
+``outstanding``).  The reported numbers are
 identical to serial mode: latency sums are exact integer arithmetic,
 per-source arrays add elementwise, and same-slot event order (the only
 thing barrier ferrying can reorder) is commutative for every reported
@@ -40,6 +44,7 @@ import time
 from repro.network.links import MSG_FLIT
 from repro.obs.probes import AllocatorProbe, attach_probe
 from repro.parallel.faults import inject_fault
+from repro.sim.driver import Lockstep
 from repro.sim.stats import StatsCollector
 
 
@@ -53,6 +58,16 @@ class WindowStats(StatsCollector):
     """
 
     window_by_creation = True
+
+    @property
+    def outstanding(self) -> int:
+        """Measured packets created here minus measured packets ejected here.
+
+        One worker's value can go negative (a packet may be created in one
+        worker and ejected in another); the sum over every worker — or the
+        merged collector's value — is the drain criterion.
+        """
+        return self.packets_created - len(self.latencies)
 
     def on_packet_created(self, packet) -> None:
         if self._in_window(packet.created_cycle):
@@ -80,6 +95,7 @@ def _worker_main(sim, domain_ids, conn, worker_index: int) -> None:
         dom.tracer = None
     for inj in injectors:
         inj.stats = stats
+    lockstep = Lockstep(injectors, domains, stats)
     # The coordinator's collectors stay unattached in worker mode; this
     # worker's probe counts its own domains' rounds and ships home.
     probe = AllocatorProbe() if sim.obs_config.metrics else None
@@ -107,10 +123,7 @@ def _worker_main(sim, domain_ids, conn, worker_index: int) -> None:
             return
         op = msg[0]
         if op == "advance":
-            for _ in range(msg[1]):
-                for inj, dom in zip(injectors, domains):
-                    inj.tick(dom.cycle)
-                    dom.step()
+            lockstep.step(msg[1])
             out = {}
             for link in touched:
                 if link.outbox:
@@ -122,7 +135,7 @@ def _worker_main(sim, domain_ids, conn, worker_index: int) -> None:
         elif op == "open_window":
             stats.open_window(msg[1], msg[2])
         elif op == "counts":
-            conn.send((stats.packets_created, len(stats.latencies)))
+            conn.send(stats.outstanding)
         elif op == "finalize":
             conn.send(
                 {
@@ -155,164 +168,160 @@ def _worker_main(sim, domain_ids, conn, worker_index: int) -> None:
             return
 
 
-def run_partitioned_workers(sim, warmup: int, measure: int, drain_limit: int):
-    """Coordinate a worker-process run; returns a SimulationResult."""
-    num_domains = sim.plan.num_domains
-    num_workers = sim._workers
-    # Block assignment: domain d -> worker d * W // N keeps blocks
-    # contiguous and sizes within one of each other.
-    owner_of = [d * num_workers // num_domains for d in range(num_domains)]
-    groups = [[] for _ in range(num_workers)]
-    for d, w in enumerate(owner_of):
-        groups[w].append(d)
-    rd = sim.plan.router_domain
-    ctx = mp.get_context("fork")
-    conns, procs = [], []
-    for worker_index, group in enumerate(groups):
-        parent, child = ctx.Pipe()
-        proc = ctx.Process(
-            target=_worker_main, args=(sim, group, child, worker_index), daemon=True
-        )
-        proc.start()
-        child.close()
-        conns.append(parent)
-        procs.append(proc)
+class WorkerSchedule:
+    """The run loop's schedule over forked workers and epoch barriers.
 
-    def _dead_worker_error(w: int, cause: BaseException) -> RuntimeError:
-        proc = procs[w]
+    Construction forks the workers, each owning a contiguous block of
+    domains; :meth:`close` tears them down.  Workers step through idle
+    stretches, so :meth:`skip` never fast-forwards.
+    """
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        num_domains = sim.plan.num_domains
+        num_workers = sim._workers
+        # Block assignment: domain d -> worker d * W // N keeps blocks
+        # contiguous and sizes within one of each other.
+        self.owner_of = [d * num_workers // num_domains for d in range(num_domains)]
+        self.groups = [[] for _ in range(num_workers)]
+        for d, w in enumerate(self.owner_of):
+            self.groups[w].append(d)
+        self.cycle = sim.cycle
+        self.quantum = sim._epoch
+        self.window: tuple[int, int] | None = None
+        self.conns, self.procs = [], []
+        ctx = mp.get_context("fork")
+        for worker_index, group in enumerate(self.groups):
+            parent, child = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_main, args=(sim, group, child, worker_index), daemon=True
+            )
+            proc.start()
+            child.close()
+            self.conns.append(parent)
+            self.procs.append(proc)
+
+    def _dead_worker_error(self, w: int) -> RuntimeError:
+        proc = self.procs[w]
         proc.join(timeout=1.0)
         code = proc.exitcode
         detail = f"exit code {code}" if code is not None else "still running"
         return RuntimeError(
-            f"partition worker {w} (domains {groups[w]}) died mid-run "
+            f"partition worker {w} (domains {self.groups[w]}) died mid-run "
             f"({detail}); aborting the partitioned run"
         )
 
-    def _send(w: int, msg) -> None:
+    def _send(self, w: int, msg) -> None:
         try:
-            conns[w].send(msg)
+            self.conns[w].send(msg)
         except (BrokenPipeError, OSError) as exc:
-            raise _dead_worker_error(w, exc) from exc
+            raise self._dead_worker_error(w) from exc
 
-    def _recv(w: int):
+    def _recv(self, w: int):
         try:
-            return conns[w].recv()
+            return self.conns[w].recv()
         except (EOFError, OSError) as exc:
             # EOFError for a clean close, ConnectionResetError (an
             # OSError) when the worker died with data in flight.
-            raise _dead_worker_error(w, exc) from exc
+            raise self._dead_worker_error(w) from exc
 
-    cycle = sim.cycle
-    epoch = sim._epoch
-    try:
+    def _broadcast(self, msg) -> None:
+        for w in range(len(self.conns)):
+            self._send(w, msg)
 
-        def advance(cycles: int) -> None:
-            nonlocal cycle
-            remaining = cycles
-            while remaining > 0:
-                step = min(epoch, remaining)
-                for w in range(num_workers):
-                    _send(w, ("advance", step))
-                outs = [_recv(w) for w in range(num_workers)]
-                routed = [dict() for _ in conns]
-                for out in outs:
-                    for link_id, messages in out.items():
-                        spec = sim.links[link_id].spec
-                        flit_worker = owner_of[rd[spec.dst_router]]
-                        credit_worker = owner_of[rd[spec.src_router]]
-                        for message in messages:
-                            target = (
-                                flit_worker
-                                if message[0] == MSG_FLIT
-                                else credit_worker
-                            )
-                            routed[target].setdefault(link_id, []).append(message)
-                for w in range(num_workers):
-                    if routed[w]:
-                        _send(w, ("ingest", routed[w]))
-                remaining -= step
-                cycle += step
+    def _gather(self) -> list:
+        return [self._recv(w) for w in range(len(self.conns))]
 
-        def outstanding() -> int:
-            for w in range(num_workers):
-                _send(w, ("counts",))
-            created = delivered = 0
-            for w in range(num_workers):
-                c, d = _recv(w)
-                created += c
-                delivered += d
-            return created - delivered
+    def advance(self, cycles: int) -> None:
+        """Advance ``cycles`` cycles in epochs, ferrying at each barrier."""
+        links = self.sim.links
+        rd = self.sim.plan.router_domain
+        owner_of = self.owner_of
+        remaining = cycles
+        while remaining > 0:
+            step = min(self.quantum, remaining)
+            self._broadcast(("advance", step))
+            routed = [dict() for _ in self.conns]
+            for out in self._gather():
+                for link_id, messages in out.items():
+                    spec = links[link_id].spec
+                    flit_worker = owner_of[rd[spec.dst_router]]
+                    credit_worker = owner_of[rd[spec.src_router]]
+                    for message in messages:
+                        target = flit_worker if message[0] == MSG_FLIT else credit_worker
+                        routed[target].setdefault(link_id, []).append(message)
+            for w, batch in enumerate(routed):
+                if batch:
+                    self._send(w, ("ingest", batch))
+            remaining -= step
+            self.cycle += step
 
-        advance(warmup)
-        start = cycle
-        for w in range(num_workers):
-            _send(w, ("open_window", start, start + measure))
-        advance(measure)
-        drained_cycles = 0
-        while drained_cycles < drain_limit and outstanding() > 0:
-            chunk = min(epoch, drain_limit - drained_cycles)
-            advance(chunk)
-            drained_cycles += chunk
-        for w in range(num_workers):
-            _send(w, ("finalize",))
-        payloads = [_recv(w) for w in range(num_workers)]
-    finally:
+    step = advance
+
+    def skip(self, budget: int) -> int:
+        return 0
+
+    def open_window(self, start: int, end: int) -> None:
+        self.window = (start, end)
+        self._broadcast(("open_window", start, end))
+
+    def outstanding(self) -> int:
+        self._broadcast(("counts",))
+        return sum(self._gather())
+
+    def finish(self):
+        """Merge the workers' final payloads (same shape as ``Lockstep.finish``)."""
+        self._broadcast(("finalize",))
+        payloads = self._gather()
+        merged = WindowStats(self.sim.config.num_terminals)
+        merged.open_window(*self.window)
+        by_domain: dict[int, dict] = {}
+        interchip_flits = interchip_credits = 0
+        for payload in payloads:
+            s = payload["stats"]
+            merged.latencies.extend(s["latencies"])
+            merged.flits_ejected += s["flits_ejected"]
+            merged.packets_ejected += s["packets_ejected"]
+            merged.packets_created += s["packets_created"]
+            for i, v in enumerate(s["per_source_ejected"]):
+                merged.per_source_ejected[i] += v
+            for i, v in enumerate(s["per_source_created"]):
+                merged.per_source_created[i] += v
+            by_domain.update(payload["counters"])
+            interchip_flits += sum(payload["link_flits"].values())
+            interchip_credits += sum(payload["link_credits"].values())
+        return (
+            merged,
+            [by_domain[d] for d in range(len(self.owner_of))],
+            interchip_flits,
+            interchip_credits,
+            [p["probe"] for p in payloads if p["probe"] is not None],
+        )
+
+    def close(self) -> None:
         # Teardown order matters: signal every worker to exit *before*
         # the first join.  Joining first deadlocked on failure — a worker
         # blocked in recv() never exits, so each join burned its full
         # timeout (30s per worker) before anything closed its pipe.
-        for conn in conns:
+        for conn in self.conns:
             try:
                 conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass  # already dead or closed — that's fine, it can't hang
-        for conn in conns:
+        for conn in self.conns:
             conn.close()
         # Closed pipes wake any worker blocked in recv() (EOFError -> its
         # main returns), so the whole pool drains within one shared
         # deadline instead of 30s per straggler.
         deadline = time.monotonic() + 4.0
-        for proc in procs:
+        for proc in self.procs:
             proc.join(timeout=max(0.1, deadline - time.monotonic()))
-        for proc in procs:
+        for proc in self.procs:
             if proc.is_alive():
                 proc.terminate()
-        for proc in procs:
+        for proc in self.procs:
             if proc.is_alive():
                 proc.join(timeout=1.0)
 
-    merged = StatsCollector(sim.config.num_terminals)
-    merged.open_window(start, start + measure)
-    for payload in payloads:
-        s = payload["stats"]
-        merged.latencies.extend(s["latencies"])
-        merged.flits_ejected += s["flits_ejected"]
-        merged.packets_ejected += s["packets_ejected"]
-        merged.packets_created += s["packets_created"]
-        for i, v in enumerate(s["per_source_ejected"]):
-            merged.per_source_ejected[i] += v
-        for i, v in enumerate(s["per_source_created"]):
-            merged.per_source_created[i] += v
-    drained = merged.packets_created - len(merged.latencies) == 0
-    by_domain: dict[int, dict] = {}
-    interchip_flits = interchip_credits = 0
-    for payload in payloads:
-        by_domain.update(payload["counters"])
-        interchip_flits += sum(payload["link_flits"].values())
-        interchip_credits += sum(payload["link_credits"].values())
-    snapshots = [by_domain[d] for d in range(num_domains)]
-    counters = sim.aggregate_counters(
-        snapshots,
-        interchip_flits=interchip_flits,
-        interchip_credits=interchip_credits,
-    )
-    metrics = sim._finalize_obs(
-        counters,
-        probes=[p["probe"] for p in payloads if p["probe"] is not None],
-    )
-    return sim.build_result(
-        merged, counters, cycles=cycle, drained=drained, metrics=metrics
-    )
 
-
-__all__ = ["WindowStats", "run_partitioned_workers"]
+__all__ = ["WindowStats", "WorkerSchedule"]

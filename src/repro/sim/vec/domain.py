@@ -4,12 +4,15 @@
 (so plan bookkeeping, object NIs for the injector, and boundary ``None``
 holes come for free) but replaces the per-object stepping loop with a
 :class:`~repro.sim.vec.stepping.VecStepper` over a per-domain
-:class:`~repro.sim.vec.state.SoAState`.  The partition engine drives it
-through the same SimDomain contract object domains satisfy — ``step()``,
-``has_active_work()``, ``next_event_time()``, ``skip_to()``,
+:class:`~repro.sim.vec.state.SoAState`.  The run loop
+(:mod:`repro.sim.driver`) drives it through the same SimDomain contract
+object domains satisfy — ``step()``, ``has_active_work()``,
+``next_event_time()``, ``skip_to()``, ``counter_snapshot()``,
 ``export_flow_state()`` — so serial round-robin, worker forks (the SoA
 tensors are inherited by fork like every other attribute), epoch
-barriers, and the invariant checker all work unchanged.
+barriers, and the invariant checker all work unchanged.  The monolithic
+:class:`~repro.sim.vec.engine.VectorizedSimulation` is one ``VecDomain``
+over a ``1x1`` plan.
 
 Holes are masked structurally rather than per kernel: unowned routers'
 tensor rows stay all-IDLE forever (no flit ever arrives there, so
@@ -82,8 +85,8 @@ class VecDomain(DomainNetwork):
     def step(self) -> None:
         """One cycle: wheel drain + the stepper's three kernel phases.
 
-        The injector tick is the partition engine's job (as for object
-        domains), so this advances exactly one network cycle.
+        The injector tick is the run loop's job (as for object domains),
+        so this advances exactly one network cycle.
         """
         now = self.cycle
         stepper = self._stepper

@@ -2,25 +2,30 @@
 
 :class:`VectorizedSimulation` is a drop-in replacement for
 :class:`~repro.sim.engine.Simulation` that batches the per-router work of a
-cycle into numpy array ops.  Byte-identical results fall out of reusing the
-object engine's components wherever cycle-accurate state is subtle and
-cheap, and vectorizing only what is hot:
+cycle into numpy array ops.  It is the one-domain case of the partitioned
+vectorized engine: a :class:`~repro.sim.vec.domain.VecDomain` over a
+``1x1`` plan, run by the shared loop of :mod:`repro.sim.driver`.
+Byte-identical results fall out of reusing the object engine's components
+wherever cycle-accurate state is subtle and cheap, and vectorizing only
+what is hot:
 
-* the **real** :class:`~repro.network.network.Network` is built (topology
-  wiring, NIs) and its NIs, the real :class:`~repro.traffic.TrafficInjector`
-  (same Mersenne-Twister stream, same draw order) and the real
-  :class:`~repro.sim.stats.StatsCollector` run unchanged in Python;
+* the domain is a real network (topology wiring, NIs); its NIs, the real
+  :class:`~repro.traffic.TrafficInjector` (same Mersenne-Twister stream,
+  same draw order) and the real :class:`~repro.sim.stats.StatsCollector`
+  run unchanged in Python;
 * router stepping — flit delivery, VC allocation, switch allocation, grant
   application — runs on the :class:`~repro.sim.vec.state.SoAState` tensors
-  through :mod:`repro.sim.vec.kernels`;
+  through :mod:`repro.sim.vec.kernels` (see
+  :class:`~repro.sim.vec.stepping.VecStepper`);
 * events ride a fixed-size ring of array chunks instead of the network's
   dict-of-lists wheel (all latencies are bounded by
   ``max(pipeline_stages, credit_delay, 1)``).
 
 Metrics run on the kernel: the stepper passes the network's allocator
 probe to the switch-allocation kernel, which folds each cycle's rounds
-into it from its request/winner/grant arrays.  Two situations delegate the whole run to the
-activity-gated object engine (still byte-identical):
+into it from its request/winner/grant arrays.  Two situations run on a
+single activity-gated object :class:`~repro.network.network.Network`
+instead (still byte-identical; ``_delegate`` names the reason):
 
 * flit tracing — the tracer hooks object routers and NIs;
 * expected injected flits/cycle below ``REPRO_VEC_MIN_FLITS`` (default 6)
@@ -36,22 +41,20 @@ job (see :func:`repro.sim.engine.run_simulation`).
 from __future__ import annotations
 
 import os
-import time
 
 from repro.network.config import NetworkConfig
 from repro.network.network import Network
-from repro.obs import Observability, ObservabilityConfig
-from repro.sim.engine import Simulation, SimulationResult
-from repro.sim.stats import StatsCollector
-from repro.traffic.injector import TrafficInjector
-from repro.traffic.patterns import TrafficPattern, make_pattern
+from repro.obs import ObservabilityConfig
+from repro.sim.driver import PhaseDriver
+from repro.topology import make_topology
+from repro.topology.partition import grid_partition
+from repro.traffic.patterns import TrafficPattern
 
-from .state import SoAState
-from .stepping import VecStepper
+from .domain import VecDomain
 from .support import require_vectorizable
 
 #: Environment knob: minimum expected injected flits/cycle for the SoA
-#: kernel to be worth it; below this the run delegates to the gated engine.
+#: kernel to be worth it; below this the run uses the gated engine.
 MIN_FLITS_ENV = "REPRO_VEC_MIN_FLITS"
 _DEFAULT_MIN_FLITS = 6.0
 
@@ -63,10 +66,13 @@ def _min_flits_threshold() -> float:
     try:
         return float(raw)
     except ValueError:
-        return _DEFAULT_MIN_FLITS
+        raise ValueError(
+            f"{MIN_FLITS_ENV} must be a number (expected injected "
+            f"flits/cycle), got {raw!r}"
+        ) from None
 
 
-class VectorizedSimulation:
+class VectorizedSimulation(PhaseDriver):
     """One network + injector + stats run on the SoA kernel."""
 
     def __init__(
@@ -82,192 +88,33 @@ class VectorizedSimulation:
         obs: ObservabilityConfig | None = None,
     ) -> None:
         require_vectorizable(config)
-        self.config = config
         obs_config = obs if obs is not None else ObservabilityConfig.from_env()
         plen = packet_length if packet_length is not None else config.packet_length
         expected_flits = (
             min(max(injection_rate, 0.0), 1.0) * config.num_terminals * plen
         )
-        self._delegate: Simulation | None = None
-        # Flit tracers hook the object routers/NIs, and low-activity runs
-        # are faster on the gated visit-only-active loop than on
-        # whole-network array ops; both cases delegate wholesale (results
-        # stay byte-identical either way).
-        if obs_config.trace or expected_flits < _min_flits_threshold():
-            self._delegate = Simulation(
-                config,
-                pattern=pattern,
-                injection_rate=injection_rate,
-                packet_length=packet_length,
-                seed=seed,
-                burst_length=burst_length,
-                fast_injection=fast_injection,
-                activity_gating=True,
-                obs=obs,
+        #: Why this run steps a gated object network instead of the
+        #: kernel, or ``None`` when it runs on the kernel.
+        self._delegate: str | None = None
+        if obs_config.trace:
+            self._delegate = "flit tracing hooks object routers and NIs"
+        elif expected_flits < _min_flits_threshold():
+            self._delegate = f"expected load below {MIN_FLITS_ENV}"
+        if self._delegate is None:
+            topology = make_topology(config.topology, config.num_terminals)
+            self.network = VecDomain(
+                config, grid_partition(topology, (1, 1)), 0, topology
             )
-            self.network = self._delegate.network
-            self.stats = self._delegate.stats
-            self.injector = self._delegate.injector
-            return
-
-        self.network = Network(config)
-        self.obs_config = obs_config
-        self._obs: Observability | None = None
-        if obs_config.enabled:  # metrics and/or profile (trace delegated)
-            self._obs = Observability(obs_config)
-            self._obs.attach(self.network)
-        self._seed = seed
-        if isinstance(pattern, str):
-            pattern = make_pattern(pattern, config.num_terminals)
-        self.pattern = pattern
-        self.injector = TrafficInjector(
-            self.network,
-            pattern,
-            injection_rate,
+        else:
+            self.network = Network(config)
+        self._wire(
+            config,
+            [self.network],
+            pattern=pattern,
+            injection_rate=injection_rate,
             packet_length=packet_length,
             seed=seed,
             burst_length=burst_length,
             fast_injection=fast_injection,
-        )
-        self.stats = StatsCollector(config.num_terminals)
-        self.network.stats = self.stats
-        self.injector.stats = self.stats
-
-        s = SoAState(self.network)
-        self.s = s
-        # The per-cycle phases (event ring, delivery, NI phase, kernels)
-        # live in the stepper, shared with the partitioned VecDomain.
-        self._stepper = VecStepper(self.network, s)
-        self._kernel_seconds = 0.0
-
-    def _step(self) -> None:
-        network = self.network
-        now = network.cycle
-        self.injector.tick(now)
-        t0 = time.perf_counter() if self._obs is not None else 0.0
-        stepper = self._stepper
-        stepper.deliver(now)
-        stepper.ni_phase(now)
-        stepper.allocate(now)
-        stepper.kernel_cycles += 1
-        if self._obs is not None:
-            self._kernel_seconds += time.perf_counter() - t0
-        network.counters.cycles += 1
-        network.cycle = now + 1
-
-    def flow_state(self) -> dict:
-        """Flow-control snapshot (see :mod:`repro.network.state`).
-
-        Same schema as ``Simulation.flow_state()``; byte-equal dicts after
-        identical runs are the engines' no-drift contract.
-        """
-        if self._delegate is not None:
-            return self._delegate.flow_state()
-        return self.s.export_flow_state(self.network.cycle)
-
-    # --- run control (mirrors Simulation.run exactly) -----------------------
-
-    def _maybe_skip(self, budget: int) -> int:
-        network = self.network
-        if self._stepper.busy_vcs or network._active_nis:
-            return 0
-        now = network.cycle
-        wake = self.injector.next_active_cycle(now)
-        if wake is not None and wake <= now:
-            return 0
-        nxt = self._stepper.next_event_time(now)
-        if nxt is not None and (wake is None or nxt < wake):
-            wake = nxt
-        target = now + budget if wake is None else min(wake, now + budget)
-        network.skip_to(target)
-        return target - now
-
-    def _advance(self, cycles: int) -> None:
-        network = self.network
-        end = network.cycle + cycles
-        while network.cycle < end:
-            if self._maybe_skip(end - network.cycle):
-                continue
-            self._step()
-
-    def run(
-        self,
-        warmup: int = 1000,
-        measure: int = 3000,
-        drain_limit: int | None = None,
-    ) -> SimulationResult:
-        """Run the three-phase methodology; see ``Simulation.run``."""
-        if self._delegate is not None:
-            return self._delegate.run(
-                warmup=warmup, measure=measure, drain_limit=drain_limit
-            )
-        if warmup < 0 or measure <= 0:
-            raise ValueError("warmup must be >= 0 and measure > 0")
-        if drain_limit is None:
-            drain_limit = max(2000, 2 * measure)
-        timer = self._obs.timer if self._obs is not None else None
-        t0 = time.perf_counter() if timer is not None else 0.0
-        self._advance(warmup)
-        if timer is not None:
-            t1 = time.perf_counter()
-            timer.add("warmup", t1 - t0)
-            t0 = t1
-        start = self.network.cycle
-        self.stats.open_window(start, start + measure)
-        self._advance(measure)
-        if timer is not None:
-            t1 = time.perf_counter()
-            timer.add("measure", t1 - t0)
-            t0 = t1
-        drained_cycles = 0
-        while self.stats.outstanding and drained_cycles < drain_limit:
-            skipped = self._maybe_skip(drain_limit - drained_cycles)
-            if skipped:
-                drained_cycles += skipped
-                continue
-            self._step()
-            drained_cycles += 1
-        if timer is not None:
-            timer.add("drain", time.perf_counter() - t0)
-            timer.add("kernel", self._kernel_seconds)
-        # Flush the SoA link counters into the network (report surface).
-        link_counts = self.network._link_counts
-        for r, row in enumerate(self.s.links.tolist()):
-            counts = link_counts[r]
-            for p, c in enumerate(row):
-                counts[p] += c
-        stats = self.stats
-        counters = self.network.counters.snapshot()
-        counters["vec_kernel_cycles"] = self._stepper.kernel_cycles
-        if timer is not None:
-            counters.update(timer.counter_items())
-        metrics = None
-        if self._obs is not None:
-            metrics = self._obs.finalize(
-                self.network,
-                allocator=self.config.router.allocator,
-                virtual_inputs=self.config.router.effective_virtual_inputs,
-                topology=self.config.topology,
-                injection_rate=self.injector.rate,
-                seed=self._seed,
-            )
-        return SimulationResult(
-            allocator=self.config.router.allocator,
-            topology=self.config.topology,
-            injection_rate=self.injector.rate,
-            packet_length=self.injector.packet_length,
-            avg_latency=stats.avg_latency(),
-            throughput_flits=stats.throughput_flits_per_cycle(),
-            throughput_packets_per_node=stats.throughput_packets_per_node(),
-            fairness=stats.fairness_max_min_ratio(),
-            packets_created=stats.packets_created,
-            packets_ejected=stats.packets_ejected,
-            drained=stats.outstanding == 0,
-            cycles=self.network.cycle,
-            per_source_ejected=list(stats.per_source_ejected),
-            counters=counters,
-            latency_p50=stats.latency_percentile(50),
-            latency_p95=stats.latency_percentile(95),
-            latency_p99=stats.latency_percentile(99),
-            metrics=metrics,
+            obs=obs_config,
         )

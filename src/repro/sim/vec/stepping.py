@@ -1,14 +1,12 @@
-"""The SoA per-cycle stepper, shared by the monolithic and domain engines.
+"""The SoA per-cycle stepper behind every :class:`~repro.sim.vec.domain.VecDomain`.
 
-:class:`VecStepper` owns the hot path that used to live inside
-:class:`~repro.sim.vec.engine.VectorizedSimulation`: the fixed-size event
-ring, flit/credit delivery, the vectorized NI phase, and grant
-application over one :class:`~repro.sim.vec.state.SoAState`.  The
-monolithic engine drives one stepper over the whole network; the
-partitioned engine drives one per :class:`~repro.sim.vec.domain.VecDomain`.
+:class:`VecStepper` owns the hot path: the fixed-size event ring,
+flit/credit delivery, the vectorized NI phase, and grant application over
+one :class:`~repro.sim.vec.state.SoAState`.  Each domain owns one stepper;
+the monolithic vectorized engine is the one-domain case.
 
-Boundary traffic is the only difference between the two: a domain
-registers its cut-link ports via :meth:`add_egress`/:meth:`add_ingress`,
+Boundary traffic is the only difference between one domain and many: a
+domain registers its cut-link ports via :meth:`add_egress`/:meth:`add_ingress`,
 and :meth:`apply_grants` diverts granted flits on masked output ports
 into :meth:`~repro.network.links.InterChipLink.send_flit` (and freed
 buffer credits on masked input ports into ``send_credit``) instead of the
@@ -25,6 +23,8 @@ fancy-indexed updates exact and chunk order commutative.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -80,7 +80,10 @@ class VecStepper:
     )
 
     def __init__(self, network, s: SoAState) -> None:
-        self.net = network
+        # Weak: the network (a VecDomain) owns its stepper, and a strong
+        # back-reference would leave every finished run's tensors to the
+        # cyclic garbage collector instead of freeing them on release.
+        self.net = weakref.proxy(network)
         self.s = s
         self._sa = sa_output_first if s.output_first else sa_input_first
         rc = network.config.router

@@ -5,12 +5,14 @@ import math
 import pytest
 
 from repro.network.config import NetworkConfig, RouterConfig, paper_config
+from repro.network.links import PartitionConfig
 from repro.sim.engine import (
     Simulation,
     is_saturated,
     run_simulation,
     saturation_throughput,
 )
+from repro.sim.partition import PartitionedSimulation
 
 
 def small_config(allocator="input_first", **rk):
@@ -20,6 +22,33 @@ def small_config(allocator="input_first", **rk):
         router=RouterConfig(allocator=allocator, **rk),
         packet_length=4,
     )
+
+
+def _vectorized(config):
+    pytest.importorskip("numpy")
+    from repro.sim.vec.engine import VectorizedSimulation
+
+    return VectorizedSimulation(config)
+
+
+def _partitioned(dims, workers=1):
+    def build(config):
+        return PartitionedSimulation(
+            config, partition=PartitionConfig(dims=dims, workers=workers)
+        )
+
+    return build
+
+
+#: Engine constructors over the full engine matrix, by test id.
+ENGINES = {
+    "dense": lambda config: Simulation(config, activity_gating=False),
+    "gated": Simulation,
+    "vectorized": _vectorized,
+    "partitioned-1x1": _partitioned((1, 1)),
+    "partitioned-2x2": _partitioned((2, 2)),
+    "partitioned-2x2-workers2": _partitioned((2, 2), workers=2),
+}
 
 
 class TestBasicRuns:
@@ -65,8 +94,10 @@ class TestBasicRuns:
                            warmup=100, measure=300)
         assert a.avg_latency != b.avg_latency
 
-    def test_validation(self):
-        sim = Simulation(small_config())
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_validation(self, engine):
+        """Every engine rejects bad windows (the run loop validates once)."""
+        sim = ENGINES[engine](small_config())
         with pytest.raises(ValueError):
             sim.run(warmup=-1, measure=100)
         with pytest.raises(ValueError):

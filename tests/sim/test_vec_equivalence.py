@@ -12,6 +12,8 @@ loudly with the registry-style error naming the engines that can.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,11 @@ np = pytest.importorskip("numpy")
 from repro.core.arbiter import rr_winner
 from repro.core.matching import maximum_matching_size
 from repro.network.config import NetworkConfig, RouterConfig
+from repro.network.links import PartitionConfig
 from repro.obs import ObservabilityConfig
 from repro.registry import UnknownSchemeError
 from repro.sim.engine import run_simulation
+from repro.sim.partition import PartitionedSimulation
 from repro.sim.vec import (
     SUPPORTED_ALLOCATORS,
     vectorization_unsupported_reason,
@@ -238,6 +242,12 @@ class TestDelegation:
         )
         assert sim._delegate is None
 
+    def test_malformed_min_flits_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VEC_MIN_FLITS", "six")
+        cfg = _config("input_first", "max_credit", 1)
+        with pytest.raises(ValueError, match="REPRO_VEC_MIN_FLITS"):
+            VectorizedSimulation(cfg, injection_rate=1.0, seed=1)
+
     def test_trace_still_delegates(self):
         cfg = _config("input_first", "max_credit", 1, num_terminals=64)
         sim = VectorizedSimulation(
@@ -247,6 +257,33 @@ class TestDelegation:
             obs=ObservabilityConfig(metrics=True, trace=True),
         )
         assert sim._delegate is not None
+
+
+class TestReleasedByRefcount:
+    """A finished run's networks are freed as soon as the simulation is
+    deleted — no reference cycle leaves the SoA tensors to cyclic GC."""
+
+    @pytest.mark.parametrize("dims", [None, (2, 2)], ids=["monolithic", "2x2"])
+    def test_networks_freed_without_cyclic_gc(self, dims):
+        cfg = _config("input_first", "max_credit", 1)
+        if dims is None:
+            sim = VectorizedSimulation(cfg, injection_rate=1.0, seed=1)
+            assert sim._delegate is None
+        else:
+            sim = PartitionedSimulation(
+                cfg,
+                partition=PartitionConfig(dims=dims, domain_engine="vectorized"),
+                injection_rate=1.0,
+                seed=1,
+            )
+        gc.disable()
+        try:
+            sim.run(warmup=20, measure=40, drain_limit=0)
+            refs = [weakref.ref(dom) for dom in sim.domains]
+            del sim
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 #: (allocator, vc_policy, virtual_inputs) for the metrics suite: IF, OF,
